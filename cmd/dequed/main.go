@@ -18,36 +18,26 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	dq "repro"
+	"repro/internal/server"
 )
 
 func main() {
+	var sf server.Flags
+	sf.Define(flag.CommandLine, "localhost:7411")
 	var (
-		addr     = flag.String("addr", "localhost:7411", "TCP listen address (use :0 with -addr-file for an ephemeral port)")
-		addrFile = flag.String("addr-file", "", "write the bound listen address to this file once listening")
 		shards   = flag.Int("shards", 4, "deque shards in the pool")
 		route    = flag.String("route", "rr", "routing policy: rr, key, or least")
 		steal    = flag.Bool("steal", true, "steal-on-empty rebalancing across shards")
 		capacity = flag.Int("capacity", 0, "per-shard value capacity (0 = default)")
-		maxconns = flag.Int("maxconns", 64, "concurrent connection cap (pool handles are pooled up to this)")
 		reclaim  = flag.String("reclaim", "gc", "node reclamation: gc, hazard, or epoch (recycling)")
 		memlimit = flag.Int64("memlimit", 0, "per-shard node-memory cap in bytes (0 = unbounded); exceeding pushes get STATUS_FULL")
 		helping  = flag.Bool("helping", false, "announcement/helping layer: starving ops are completed by other threads (bounded tail latency)")
 		watchdog = flag.Int("watchdog", 0, "livelock-watchdog streak threshold per shard (0 = default 256)")
-		metrics  = flag.String("metrics", "", "serve Prometheus /metrics and /debug/flightrecorder on this HTTP address (empty disables)")
-		fdump    = flag.Duration("flight-dump", 0, "auto-dump the flight recorder to stderr on watchdog/announce distress, rate-limited to one dump per this interval (0 disables)")
-		drain    = flag.Duration("drain-timeout", 5*time.Second, "graceful drain window on SIGTERM before in-flight ops are cancelled")
 		relaxed  = flag.Bool("relaxed", false, "serve through the semantically-relaxed d-choice front-end (keys ignored; ordering relaxed across shards)")
 		dFlag    = flag.Int("d", 2, "relaxed sample width: shards sampled per op (0 = strict passthrough; needs -relaxed)")
 		rank     = flag.Int("rank-bound", 0, "worst-case rank-error bound for -relaxed (0 = unbounded; else >= 4*(shards-1))")
@@ -81,116 +71,24 @@ func main() {
 		shardOpts = append(shardOpts, dq.WithWatchdogThreshold(*watchdog))
 	}
 	srv, err := NewServer(Config{
-		Shards:       *shards,
-		Route:        policy,
-		Steal:        *steal,
-		MaxConns:     *maxconns,
-		DrainTimeout: *drain,
-		ShardOpts:    shardOpts,
-		Relaxed:      *relaxed,
-		Sample:       *dFlag,
-		RankBound:    *rank,
+		Shards:    *shards,
+		Route:     policy,
+		Steal:     *steal,
+		MaxConns:  sf.MaxConns,
+		ShardOpts: shardOpts,
+		Relaxed:   *relaxed,
+		Sample:    *dFlag,
+		RankBound: *rank,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dequed:", err)
 		os.Exit(2)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dequed:", err)
-		os.Exit(1)
-	}
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dequed:", err)
-			os.Exit(1)
-		}
-	}
-
-	if *fdump > 0 {
-		srv.Pool().SetFlightDump(os.Stderr, *fdump)
-	}
-
-	// Optional scrape endpoint: a fresh pool-merged snapshot per request.
-	var msrv *http.Server
-	if *metrics != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) {
-			rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			if err := dq.WriteMetricsProm(rw, "dequed", srv.Pool().Metrics()); err != nil {
-				fmt.Fprintln(os.Stderr, "dequed: write /metrics:", err)
-			}
-			if err := dq.WriteLatMetricsProm(rw, "dequed", srv.LatencySnapshot()); err != nil {
-				fmt.Fprintln(os.Stderr, "dequed: write /metrics:", err)
-			}
-			if rx := srv.Relaxed(); rx != nil {
-				if err := dq.WriteRelaxMetricsProm(rw, "dequed", rx.RelaxMetrics()); err != nil {
-					fmt.Fprintln(os.Stderr, "dequed: write /metrics:", err)
-				}
-			}
-		})
-		mux.HandleFunc("/debug/flightrecorder", func(rw http.ResponseWriter, _ *http.Request) {
-			rw.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(rw)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(map[string]any{
-				"total":   srv.Pool().FlightTotal(),
-				"records": srv.Pool().FlightRecords(),
-			}); err != nil {
-				fmt.Fprintln(os.Stderr, "dequed: write /debug/flightrecorder:", err)
-			}
-		})
-		msrv = &http.Server{Addr: *metrics, Handler: mux}
-		go func() {
-			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "dequed: metrics server:", err)
-			}
-		}()
-	}
-
 	mode := ""
 	if *relaxed {
 		mode = fmt.Sprintf(" relaxed(d=%d,rank-bound=%d)", *dFlag, *rank)
 	}
-	fmt.Printf("dequed: %d shards, route=%s steal=%v maxconns=%d%s on %s\n",
-		*shards, policy, *steal, *maxconns, mode, ln.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	exit := 0
-	select {
-	case <-ctx.Done():
-		stop() // restore default signal behavior: a second signal kills
-		fmt.Fprintf(os.Stderr, "dequed: draining (up to %s)\n", *drain)
-		sctx, cancel := context.WithTimeout(context.Background(), *drain)
-		if err := srv.Shutdown(sctx); err != nil {
-			fmt.Fprintln(os.Stderr, "dequed: hard stop after drain timeout:", err)
-		}
-		cancel()
-	case err := <-errc:
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dequed:", err)
-			exit = 1
-		}
-	}
-	if msrv != nil {
-		sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		msrv.Shutdown(sctx)
-		cancel()
-	}
-
-	fmt.Fprintln(os.Stderr, "dequed: final metrics snapshot")
-	if err := dq.WriteMetricsProm(os.Stderr, "dequed", srv.Pool().Metrics()); err != nil {
-		fmt.Fprintln(os.Stderr, "dequed:", err)
-	}
-	if rx := srv.Relaxed(); rx != nil {
-		if err := dq.WriteRelaxMetricsProm(os.Stderr, "dequed", rx.RelaxMetrics()); err != nil {
-			fmt.Fprintln(os.Stderr, "dequed:", err)
-		}
-	}
-	os.Exit(exit)
+	os.Exit(srv.Run(sf, fmt.Sprintf("dequed: %d shards, route=%s steal=%v maxconns=%d%s",
+		*shards, policy, *steal, sf.MaxConns, mode)))
 }

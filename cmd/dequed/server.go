@@ -1,27 +1,22 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"errors"
-	"net"
-	"sync"
-	"time"
+	"io"
 
 	dq "repro"
-	"repro/internal/obs"
+	"repro/internal/server"
 	"repro/internal/wire"
 )
 
 // Config collects everything a Server needs. The zero value is not
 // usable; main (and the tests) fill it from flags.
 type Config struct {
-	Shards       int            // pool width
-	Route        dq.RoutePolicy // routing policy for every connection
-	Steal        bool           // steal-on-empty rebalancing
-	MaxConns     int            // concurrent connection (= pool handle) cap
-	DrainTimeout time.Duration  // Shutdown grace before hard-cancel (0 = forever)
-	ShardOpts    []dq.Option    // forwarded to every shard (capacity, node size, ...)
+	Shards    int            // pool width
+	Route     dq.RoutePolicy // routing policy for every connection
+	Steal     bool           // steal-on-empty rebalancing
+	MaxConns  int            // concurrent connection (= pool handle) cap
+	ShardOpts []dq.Option    // forwarded to every shard (capacity, node size, ...)
 
 	// Relaxed serves every connection through a Relaxed[uint32] d-choice
 	// front-end instead of policy routing: request keys are ignored,
@@ -34,38 +29,12 @@ type Config struct {
 	RankBound int
 }
 
-// Server owns a sharded deque pool and serves the wire protocol over TCP.
-// One goroutine per connection; each borrows a PoolHandle from a fixed
-// freelist for the connection's lifetime — handle registration is
-// permanent (each shard admits at most MaxThreads handles, ever), so the
-// freelist is what lets connection churn run forever on a bounded pool.
+// Server serves a sharded deque pool over the wire protocol: the plain
+// deque ops (OpPush, OpPop, OpPushN, OpPopN) and the OpRelax snapshot, on
+// the connection engine of internal/server.
 type Server struct {
-	cfg  Config
-	pool *dq.Pool[uint32]
-	rx   *dq.Relaxed[uint32] // non-nil in relaxed mode; pool == rx.Pool()
-
-	// ctx cancels in-flight blocked operations on hard shutdown.
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	// Handle freelist: acquire prefers a parked handle, registers a new
-	// one while under the cap, and otherwise waits for a connection to
-	// finish. cap(handles) == MaxConns so release never blocks.
-	handles    chan connHandle
-	hmu        sync.Mutex
-	registered int
-
-	// latReg holds per-connection service-time recorders (the "service"
-	// latency class: frame decoded → reply flushed, queueing included).
-	// Deque-level classes live in the shards; LatencySnapshot merges both.
-	latReg obs.LatRegistry
-
-	lnMu sync.Mutex
-	ln   net.Listener
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	*server.Engine
+	rx *dq.Relaxed[uint32] // non-nil in relaxed mode; Pool() == rx.Pool()
 }
 
 // NewServer validates cfg and builds the pool. MaxThreads for every shard
@@ -84,350 +53,166 @@ func NewServer(cfg Config) (*Server, error) {
 		dq.WithStealing(cfg.Steal),
 		dq.WithShardOptions(opts...),
 	}
-	var (
-		pool *dq.Pool[uint32]
-		rx   *dq.Relaxed[uint32]
-		err  error
-	)
+	ecfg := server.Config{Name: "dequed", MaxConns: cfg.MaxConns}
+	s := &Server{}
 	if cfg.Relaxed {
-		rx, err = dq.NewRelaxedChecked[uint32](cfg.Shards,
+		rx, err := dq.NewRelaxedChecked[uint32](cfg.Shards,
 			dq.WithRelaxation(cfg.Sample),
 			dq.WithRankBound(cfg.RankBound),
 			dq.WithRelaxedPool(poolOpts...),
 		)
-		if err == nil {
-			pool = rx.Pool()
+		if err != nil {
+			return nil, err
 		}
+		s.rx = rx
+		ecfg.Pool = rx.Pool()
+		ecfg.Register = func() server.Handle { return &relaxedConn{RelaxedHandle: rx.Register(), rx: rx} }
+		ecfg.WriteProm = func(w io.Writer) error { return dq.WriteRelaxMetricsProm(w, "dequed", rx.RelaxMetrics()) }
 	} else {
-		pool, err = dq.NewPoolChecked[uint32](cfg.Shards, poolOpts...)
+		pool, err := dq.NewPoolChecked[uint32](cfg.Shards, poolOpts...)
+		if err != nil {
+			return nil, err
+		}
+		ecfg.Pool = pool
+		ecfg.Register = func() server.Handle { return &poolConn{PoolHandle: pool.Register()} }
 	}
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
-		cfg:     cfg,
-		pool:    pool,
-		rx:      rx,
-		ctx:     ctx,
-		cancel:  cancel,
-		handles: make(chan connHandle, cfg.MaxConns),
-		conns:   make(map[net.Conn]struct{}),
-	}, nil
+	s.Engine = server.New(ecfg)
+	return s, nil
 }
-
-// Pool exposes the backing pool for the final metrics snapshot and tests.
-func (s *Server) Pool() *dq.Pool[uint32] { return s.pool }
 
 // Relaxed exposes the relaxed front-end (nil unless Config.Relaxed).
 func (s *Server) Relaxed() *dq.Relaxed[uint32] { return s.rx }
 
-// LatencySnapshot returns the exact merged latency histograms of the
-// whole service: every shard's per-op classes, the pool-level routing
-// classes, and the server's per-connection service times.
-func (s *Server) LatencySnapshot() *dq.LatSnapshotSet {
-	set := s.latReg.Merge()
-	set.Merge(s.pool.LatencySnapshot())
-	return set
+// poolConn serves a connection through a policy-routed pool handle.
+type poolConn struct {
+	*dq.PoolHandle[uint32]
+	dst []uint32 // reusable OpPopN buffer
 }
 
-// connHandle is one connection's accessor: the pool handle in strict
-// mode, the relaxed handle when the server fronts the pool with
-// Relaxed[uint32] (exactly one is non-nil).
-type connHandle struct {
-	ph  *dq.PoolHandle[uint32]
-	rh  *dq.RelaxedHandle[uint32]
-	lat *obs.LatRec // single-writer service-time histogram
+// Apply serves the plain deque ops by request key and side. Statuses
+// follow wire.StatusOf: the deque's error contract crosses the wire
+// unchanged.
+func (c *poolConn) Apply(ctx context.Context, req *wire.Request, resp *wire.Response) {
+	r, k, left := reply{resp}, req.Key, req.Side == wire.Left
+	switch req.Op {
+	case wire.OpPush:
+		if left {
+			r.pushed(c.PushLeftCtx(ctx, k, req.Values[0]))
+		} else {
+			r.pushed(c.PushRightCtx(ctx, k, req.Values[0]))
+		}
+	case wire.OpPop:
+		if left {
+			r.popped(c.PopLeftCtx(ctx, k))
+		} else {
+			r.popped(c.PopRightCtx(ctx, k))
+		}
+	case wire.OpPushN:
+		if left {
+			r.pushedN(c.PushLeftN(k, req.Values))
+		} else {
+			r.pushedN(c.PushRightN(k, req.Values))
+		}
+	case wire.OpPopN:
+		d := popBuf(&c.dst, req.Count)
+		if left {
+			r.poppedN(d[:c.PopLeftN(k, d)])
+		} else {
+			r.poppedN(d[:c.PopRightN(k, d)])
+		}
+	case wire.OpRelax:
+		// A strict server answers the zero snapshot, so probes can always ask.
+		resp.SetSnapshot(0, [4]uint64{})
+	}
 }
 
-// flush parks the handle cleanly before it returns to the freelist.
-func (h connHandle) flush() {
-	if h.rh != nil {
-		h.rh.Flush()
+// relaxedConn serves a connection through the d-choice relaxed
+// front-end: request keys are ignored, sampling replaces routing.
+type relaxedConn struct {
+	*dq.RelaxedHandle[uint32]
+	rx  *dq.Relaxed[uint32]
+	dst []uint32 // reusable OpPopN buffer
+}
+
+// Apply serves the plain deque ops by side; see poolConn.Apply.
+func (c *relaxedConn) Apply(ctx context.Context, req *wire.Request, resp *wire.Response) {
+	r, left := reply{resp}, req.Side == wire.Left
+	switch req.Op {
+	case wire.OpPush:
+		if left {
+			r.pushed(c.PushLeftCtx(ctx, req.Values[0]))
+		} else {
+			r.pushed(c.PushRightCtx(ctx, req.Values[0]))
+		}
+	case wire.OpPop:
+		if left {
+			r.popped(c.PopLeftCtx(ctx))
+		} else {
+			r.popped(c.PopRightCtx(ctx))
+		}
+	case wire.OpPushN:
+		if left {
+			r.pushedN(c.PushLeftN(req.Values))
+		} else {
+			r.pushedN(c.PushRightN(req.Values))
+		}
+	case wire.OpPopN:
+		d := popBuf(&c.dst, req.Count)
+		if left {
+			r.poppedN(d[:c.PopLeftN(d)])
+		} else {
+			r.poppedN(d[:c.PopRightN(d)])
+		}
+	case wire.OpRelax:
+		m := c.rx.RelaxMetrics()
+		resp.SetSnapshot(m.RankMax, [4]uint64{m.RankBound, m.Sample, m.Shards, uint64(m.MeanRank() * 1000)})
+	}
+}
+
+// popBuf returns *buf resized to want values, growing it when needed.
+func popBuf(buf *[]uint32, want uint32) []uint32 {
+	if uint32(cap(*buf)) < want {
+		*buf = make([]uint32, want)
+	}
+	return (*buf)[:want]
+}
+
+// reply encodes a deque op's outcome into its response; each method takes
+// the op's results as returned.
+type reply struct{ *wire.Response }
+
+func (r reply) pushed(err error) {
+	r.Status = wire.StatusOf(err)
+	if err == nil {
+		r.Count = 1
+	}
+}
+
+// pushedN reports the accepted prefix even on StatusFull.
+func (r reply) pushedN(n int, err error) {
+	r.Status = wire.StatusOf(err)
+	r.Count = uint32(n)
+}
+
+func (r reply) popped(v uint32, ok bool, err error) {
+	switch {
+	case err != nil:
+		r.Status = wire.StatusOf(err)
+	case !ok:
+		r.Status = wire.StatusEmpty
+	default:
+		r.Status = wire.StatusOK
+		r.Count = 1
+		r.Values = append(r.Values, v)
+	}
+}
+
+func (r reply) poppedN(vs []uint32) {
+	if len(vs) == 0 {
+		r.Status = wire.StatusEmpty
 		return
 	}
-	h.ph.Flush()
-}
-
-// Serve accepts connections on ln until the listener closes (Shutdown
-// does that). A closed listener is a clean return, not an error.
-func (s *Server) Serve(ln net.Listener) error {
-	s.lnMu.Lock()
-	s.ln = ln
-	s.lnMu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		s.connMu.Lock()
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-			s.connMu.Lock()
-			delete(s.conns, conn)
-			s.connMu.Unlock()
-		}()
-	}
-}
-
-// Shutdown drains gracefully: the listener closes (no new connections),
-// existing connections keep being answered until they hang up, and only
-// once ctx expires are in-flight operations cancelled and connections
-// force-closed. Returns nil on a clean drain, ctx.Err() on the hard path.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.lnMu.Lock()
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	s.lnMu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-	}
-	// Hard stop: abort blocked Ctx operations, then unblock reads.
-	s.cancel()
-	s.connMu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.connMu.Unlock()
-	<-done
-	return ctx.Err()
-}
-
-// acquireHandle borrows a pool (or relaxed) handle for one connection's
-// lifetime.
-func (s *Server) acquireHandle() (connHandle, error) {
-	select {
-	case h := <-s.handles:
-		return h, nil
-	default:
-	}
-	s.hmu.Lock()
-	if s.registered < s.cfg.MaxConns {
-		s.registered++
-		s.hmu.Unlock()
-		if s.rx != nil {
-			return connHandle{rh: s.rx.Register(), lat: s.latReg.NewRec()}, nil
-		}
-		return connHandle{ph: s.pool.Register(), lat: s.latReg.NewRec()}, nil
-	}
-	s.hmu.Unlock()
-	select {
-	case h := <-s.handles:
-		return h, nil
-	case <-s.ctx.Done():
-		return connHandle{}, s.ctx.Err()
-	}
-}
-
-// serveConn runs one connection's request loop: read a frame, apply it to
-// the pool, append the response, and flush only when the read buffer runs
-// dry — that last rule is what makes pipelining pay (one flush per burst,
-// not per frame). Any read error — clean EOF, mid-frame disconnect,
-// protocol desync — ends the connection; the deque state is always
-// consistent because every accepted operation completed before its
-// response was queued.
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	h, err := s.acquireHandle()
-	if err != nil {
-		return // shutting down
-	}
-	// Flush before parking: return cached slab capacity and drain pending
-	// node retires, so a handle idling in the freelist neither strands
-	// slab indices nor stalls node recycling for the whole pool.
-	defer func() { h.flush(); s.handles <- h }()
-
-	br := bufio.NewReaderSize(conn, 1<<16)
-	bw := bufio.NewWriterSize(conn, 1<<16)
-	var (
-		req     wire.Request
-		resp    wire.Response
-		scratch []byte
-		out     []byte
-		dst     []uint32
-	)
-	for {
-		scratch, err = wire.ReadRequest(br, &req, scratch)
-		if err != nil {
-			return
-		}
-		var svc time.Time
-		if obs.Enabled {
-			svc = time.Now()
-		}
-		resp.Tag = req.Tag
-		resp.Count = 0
-		resp.Values = resp.Values[:0]
-		dst = s.apply(h, &req, &resp, dst)
-		out = wire.AppendResponse(out[:0], &resp)
-		if _, err := bw.Write(out); err != nil {
-			return
-		}
-		if br.Buffered() == 0 {
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		}
-		// Service time spans frame decoded → reply handed to the kernel
-		// (or queued behind a pipelined burst) — the server-side half of
-		// what a closed-loop client observes as round-trip latency.
-		if obs.Enabled {
-			h.lat.Record(obs.LatService, uint64(time.Since(svc)))
-		}
-	}
-}
-
-// clamp32 saturates a uint64 gauge into a wire uint32.
-func clamp32(v uint64) uint32 {
-	if v > 1<<32-1 {
-		return 1<<32 - 1
-	}
-	return uint32(v)
-}
-
-// apply executes one validated request against the connection's handle
-// and fills resp. dst is the reusable pop buffer (returned possibly
-// grown). Statuses follow wire.StatusOf: the deque's error contract
-// crosses the wire unchanged. In relaxed mode the key is ignored —
-// d-choice selection replaces routing.
-func (s *Server) apply(h connHandle, req *wire.Request, resp *wire.Response, dst []uint32) []uint32 {
-	if st := req.Validate(); st != wire.StatusOK {
-		resp.Status = st
-		return dst
-	}
-	left := req.Side == wire.Left
-	switch req.Op {
-	case wire.OpPing:
-		resp.Status = wire.StatusOK
-
-	case wire.OpLen:
-		resp.Status = wire.StatusOK
-		resp.Count = uint32(s.pool.LenExact())
-
-	case wire.OpRelax:
-		resp.Status = wire.StatusOK
-		var m dq.RelaxMetrics
-		if s.rx != nil {
-			m = s.rx.RelaxMetrics()
-		}
-		resp.Count = clamp32(m.RankMax)
-		resp.Values = append(resp.Values,
-			clamp32(m.RankBound), clamp32(m.Sample), clamp32(m.Shards),
-			clamp32(uint64(m.MeanRank()*1000)))
-
-	case wire.OpStats:
-		resp.Status = wire.StatusOK
-		resp.Values, resp.Count = wire.AppendOpStats(resp.Values, s.LatencySnapshot())
-
-	case wire.OpPush:
-		var err error
-		switch {
-		case h.rh != nil && left:
-			err = h.rh.PushLeftCtx(s.ctx, req.Values[0])
-		case h.rh != nil:
-			err = h.rh.PushRightCtx(s.ctx, req.Values[0])
-		case left:
-			err = h.ph.PushLeftCtx(s.ctx, req.Key, req.Values[0])
-		default:
-			err = h.ph.PushRightCtx(s.ctx, req.Key, req.Values[0])
-		}
-		resp.Status = wire.StatusOf(err)
-		if err == nil {
-			resp.Count = 1
-		}
-
-	case wire.OpPop:
-		var (
-			v   uint32
-			ok  bool
-			err error
-		)
-		switch {
-		case h.rh != nil && left:
-			v, ok, err = h.rh.PopLeftCtx(s.ctx)
-		case h.rh != nil:
-			v, ok, err = h.rh.PopRightCtx(s.ctx)
-		case left:
-			v, ok, err = h.ph.PopLeftCtx(s.ctx, req.Key)
-		default:
-			v, ok, err = h.ph.PopRightCtx(s.ctx, req.Key)
-		}
-		switch {
-		case err != nil:
-			resp.Status = wire.StatusOf(err)
-		case !ok:
-			resp.Status = wire.StatusEmpty
-		default:
-			resp.Status = wire.StatusOK
-			resp.Count = 1
-			resp.Values = append(resp.Values, v)
-		}
-
-	case wire.OpPushN:
-		var (
-			n   int
-			err error
-		)
-		switch {
-		case h.rh != nil && left:
-			n, err = h.rh.PushLeftN(req.Values)
-		case h.rh != nil:
-			n, err = h.rh.PushRightN(req.Values)
-		case left:
-			n, err = h.ph.PushLeftN(req.Key, req.Values)
-		default:
-			n, err = h.ph.PushRightN(req.Key, req.Values)
-		}
-		resp.Status = wire.StatusOf(err)
-		resp.Count = uint32(n)
-
-	case wire.OpPopN:
-		want := int(req.Count)
-		if cap(dst) < want {
-			dst = make([]uint32, want)
-		}
-		d := dst[:want]
-		var n int
-		switch {
-		case h.rh != nil && left:
-			n = h.rh.PopLeftN(d)
-		case h.rh != nil:
-			n = h.rh.PopRightN(d)
-		case left:
-			n = h.ph.PopLeftN(req.Key, d)
-		default:
-			n = h.ph.PopRightN(req.Key, d)
-		}
-		if n == 0 {
-			resp.Status = wire.StatusEmpty
-		} else {
-			resp.Status = wire.StatusOK
-			resp.Count = uint32(n)
-			resp.Values = append(resp.Values, d[:n]...)
-		}
-
-	default:
-		// Validate admits every op the protocol knows, but this server only
-		// serves the plain pool ops — the DEPQ family (OpPushPrio…OpDepq)
-		// belongs to cmd/schedd. A zero-value fallthrough would answer
-		// StatusOK for an op that did nothing.
-		resp.Status = wire.StatusBad
-	}
-	return dst
+	r.Status = wire.StatusOK
+	r.Count = uint32(len(vs))
+	r.Values = append(r.Values, vs...)
 }

@@ -390,3 +390,46 @@ func TestSchedGracefulDrain(t *testing.T) {
 		t.Fatalf("queue lost jobs across drain: LenExact = %d, want 100", n)
 	}
 }
+
+// TestSchedHardDrainTimeout: a client that never hangs up trips the drain
+// deadline; Shutdown force-closes it and reports ctx.Err(), and the jobs
+// admitted before the drain are all still resident.
+func TestSchedHardDrainTimeout(t *testing.T) {
+	srv, err := NewServer(Config{Bands: 4, MaxConns: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+
+	c, err := wire.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 50; i++ {
+		if err := c.PushPrio(uint64(i%4), uint32(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The client lingers: no Close, no more frames.
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if err := srv.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("hard Shutdown = %v, want DeadlineExceeded", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Serve = %v", err)
+	}
+	// The force-closed connection surfaces as a transport error.
+	if err := c.Ping(); err == nil {
+		t.Fatal("ping on force-closed connection succeeded")
+	}
+	if n := srv.DEPQ().LenExact(); n != 50 {
+		t.Fatalf("queue lost jobs across hard drain: LenExact = %d, want 50", n)
+	}
+}

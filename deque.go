@@ -213,8 +213,10 @@ func WithWatchdogThreshold(n int) Option {
 }
 
 // WithLatencySample sets the per-handle operation-latency sampling rate:
-// every n-th single-value operation per handle records its wall-clock
-// duration into the deque's log-bucketed latency histograms (see
+// one single-value operation in n per handle, on average, records its
+// wall-clock duration into the deque's log-bucketed latency histograms
+// (gaps drawn uniformly from [1, 2n-1], so the sampler cannot lock onto
+// a pattern such as strictly alternating pushes and pops; see
 // Metrics.Latency, LatencySnapshot, WriteLatMetricsProm). The default is
 // obs-internal DefaultLatSample (currently 1024) — latency histograms are on
 // by default because the sampled path costs two clock reads per n ops and

@@ -74,6 +74,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pad"
 	"repro/internal/word"
+	"repro/internal/xrand"
 )
 
 // ErrReserved is returned by pushes of the four reserved slot values.
@@ -162,9 +163,10 @@ type Config struct {
 	// TraceBuf is the tracer ring length (default obs.DefaultTraceBuf);
 	// ignored when TraceSample is 0.
 	TraceBuf int
-	// LatSample is the latency-histogram sampling interval for single
-	// push/pop operations: every LatSample-th op per handle records its
-	// duration into the per-class histograms (batch ops, announce waits,
+	// LatSample is the mean latency-histogram sampling interval for single
+	// push/pop operations: one op in LatSample per handle, on average,
+	// records its duration into the per-class histograms (each gap drawn
+	// uniformly from [1, 2·LatSample−1]; batch ops, announce waits,
 	// and steal sweeps record always — they are rare or amortized). 0
 	// selects obs.DefaultLatSample; negative disables latency recording.
 	// Sampling is what keeps the two time.Now() calls inside the <=2%
@@ -675,6 +677,11 @@ type Handle struct {
 	// suppresses nested announces and scans.
 	helpTick uint32
 	inHelp   bool
+
+	// latRng draws each latency-sampler re-arm (Register, opStartSlow)
+	// uniformly from [1, 2·LatSample−1]: a fixed interval aliases with a
+	// handle that strictly alternates op kinds, timing only one of them.
+	latRng xrand.SplitMix64
 }
 
 // Stats is a copy of a Handle's operation counters.
@@ -811,7 +818,8 @@ func (d *Deque) Register() *Handle {
 	}
 	h.latLeft = math.MaxUint64
 	if obs.Enabled && d.latSample != 0 {
-		h.latLeft = uint64(d.latSample)
+		h.latRng = *xrand.NewSplitMix64(uint64(tid))
+		h.latLeft = h.latRng.Period(uint64(d.latSample))
 	}
 	h.armTick()
 	h.bo.Init(backoff.DefaultMinSpins, backoff.DefaultMaxSpins, uint64(tid)*0x9e3779b97f4a7c15+1)

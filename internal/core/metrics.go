@@ -121,7 +121,7 @@ func (d *Deque) opStartSlow(h *Handle) *opTrace {
 	h.latLeft -= elapsed
 	if h.latLeft == 0 {
 		tr.lat = true
-		h.latLeft = uint64(d.latSample)
+		h.latLeft = h.latRng.Period(uint64(d.latSample))
 	}
 	h.armTick()
 	if !tr.trace && !tr.lat {

@@ -128,23 +128,11 @@ type RelaxStats struct {
 
 // Relax queries the observed-relaxation snapshot.
 func (c *Client) Relax() (RelaxStats, error) {
-	resp, err := c.Do(&Request{Op: OpRelax})
+	worst, g, err := c.snapshot(OpRelax)
 	if err != nil {
 		return RelaxStats{}, err
 	}
-	if err := resp.Err(); err != nil {
-		return RelaxStats{}, err
-	}
-	if len(resp.Values) != 4 {
-		return RelaxStats{}, fmt.Errorf("%w: relax snapshot carried %d values", ErrFrame, len(resp.Values))
-	}
-	return RelaxStats{
-		RankMax:   resp.Count,
-		RankBound: resp.Values[0],
-		Sample:    resp.Values[1],
-		Shards:    resp.Values[2],
-		MeanMilli: resp.Values[3],
-	}, nil
+	return RelaxStats{RankMax: worst, RankBound: g[0], Sample: g[1], Shards: g[2], MeanMilli: g[3]}, nil
 }
 
 // DepqStats is the server's observed-inversion snapshot as carried by an
@@ -161,23 +149,11 @@ type DepqStats struct {
 
 // Depq queries the observed-inversion snapshot.
 func (c *Client) Depq() (DepqStats, error) {
-	resp, err := c.Do(&Request{Op: OpDepq})
+	worst, g, err := c.snapshot(OpDepq)
 	if err != nil {
 		return DepqStats{}, err
 	}
-	if err := resp.Err(); err != nil {
-		return DepqStats{}, err
-	}
-	if len(resp.Values) != 4 {
-		return DepqStats{}, fmt.Errorf("%w: depq snapshot carried %d values", ErrFrame, len(resp.Values))
-	}
-	return DepqStats{
-		InvMax:    resp.Count,
-		BandBound: resp.Values[0],
-		Bands:     resp.Values[1],
-		Choice:    resp.Values[2],
-		MeanMilli: resp.Values[3],
-	}, nil
+	return DepqStats{InvMax: worst, BandBound: g[0], Bands: g[1], Choice: g[2], MeanMilli: g[3]}, nil
 }
 
 // PushPrio submits v under priority prio (band 0 most urgent). ErrFull

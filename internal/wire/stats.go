@@ -96,3 +96,44 @@ func (c *Client) Stats() ([]OpStat, error) {
 	}
 	return DecodeOpStats(resp.Values)
 }
+
+// OpRelax and OpDepq answer the same snapshot layout: Count carries the
+// observed worst case (rank error or band inversion) and Values exactly
+// snapshotGauges gauges, in the order of the RelaxStats / DepqStats
+// fields that follow the worst case. Every word saturates at MaxUint32.
+const snapshotGauges = 4
+
+// SetSnapshot answers a bounded-relaxation snapshot op: StatusOK, the
+// observed worst case in Count, and the gauges as the payload.
+func (r *Response) SetSnapshot(worst uint64, gauges [snapshotGauges]uint64) {
+	r.Status = StatusOK
+	r.Count = clamp32(worst)
+	for _, g := range gauges {
+		r.Values = append(r.Values, clamp32(g))
+	}
+}
+
+// snapshot queries a bounded-relaxation snapshot op and checks its
+// payload carries exactly the gauges.
+func (c *Client) snapshot(op uint8) (worst uint32, gauges [snapshotGauges]uint32, err error) {
+	resp, err := c.Do(&Request{Op: op})
+	if err != nil {
+		return 0, gauges, err
+	}
+	if err := resp.Err(); err != nil {
+		return 0, gauges, err
+	}
+	if len(resp.Values) != snapshotGauges {
+		return 0, gauges, fmt.Errorf("%w: op %d snapshot carried %d values", ErrFrame, op, len(resp.Values))
+	}
+	copy(gauges[:], resp.Values)
+	return resp.Count, gauges, nil
+}
+
+// clamp32 saturates a uint64 gauge into a wire uint32.
+func clamp32(v uint64) uint32 {
+	if v > 1<<32-1 {
+		return 1<<32 - 1
+	}
+	return uint32(v)
+}

@@ -7,6 +7,8 @@
 // rand.New allocates; the generators here are plain structs the caller owns.
 package xrand
 
+import "math/bits"
+
 // SplitMix64 is the splitmix64 generator of Steele, Lea, and Flood. It has a
 // 64-bit state, passes BigCrush, and is primarily used here to seed and to
 // derive independent streams for worker goroutines.
@@ -26,6 +28,19 @@ func (s *SplitMix64) Next() uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// Period returns a sampling interval uniform in [1, 2n-1], whose mean is
+// n. A sampler re-armed from it fires every n-th event on average but
+// cannot lock onto a period in the event stream, as a fixed interval
+// does (an even interval over strictly alternating events sees only one
+// kind). n <= 1 returns 1, so an interval of 1 still samples every event.
+func (s *SplitMix64) Period(n uint64) uint64 {
+	if n <= 1 {
+		return 1
+	}
+	hi, _ := bits.Mul64(s.Next(), 2*n-1)
+	return hi + 1
 }
 
 // Xoshiro256 is the xoshiro256** generator of Blackman and Vigna: 256 bits of

@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pad"
 	"repro/internal/shard"
+	"repro/internal/xrand"
 )
 
 // stealAttempts bounds each steal leg: a victim shard gets this many retry
@@ -283,6 +284,8 @@ func (p *Pool[T]) Register() *PoolHandle[T] {
 	}
 	h.bo.Init(backoff.DefaultMinSpins, backoff.DefaultMaxSpins,
 		uint64(start)*0x9e3779b97f4a7c15+1)
+	h.latRng = *xrand.NewSplitMix64(uint64(start))
+	h.latLeft = h.latRng.Period(obs.DefaultLatSample)
 	for i, d := range p.shards {
 		h.hs[i] = d.Register()
 	}
@@ -300,8 +303,9 @@ type PoolHandle[T any] struct {
 	snap   []int           // load-snapshot scratch
 	bo     backoff.Backoff // jittered wait between contended steal sweeps
 
-	lat     *obs.LatRec // pool-level latency histograms (pool_op, steal_sweep)
-	latTick uint32      // countdown for pool_op sampling
+	lat     *obs.LatRec      // pool-level latency histograms (pool_op, steal_sweep)
+	latLeft uint64           // pool ops until the next pool_op sample
+	latRng  xrand.SplitMix64 // draws each re-arm; see latStart
 
 	// stealResweeps counts sweeps that ended contended-but-uncertified and
 	// were retried after a backoff wait. Exposed (package-private) so tests
@@ -326,16 +330,18 @@ func (h *PoolHandle[T]) Home(key uint64) int { return h.router.Push(key, h.load)
 // note records a successful push (+n) or pop (-n) on shard i.
 func (h *PoolHandle[T]) note(i int, n int64) { h.p.loads[i].n.Add(n) }
 
-// latStart opens a sampled pool_op measurement: every DefaultLatSample-th
-// pool operation per handle is timed end to end — routing, the shard op,
-// and any steal fallback. Zero time means not sampled.
+// latStart opens a sampled pool_op measurement: one pool operation in
+// DefaultLatSample per handle, on average, is timed end to end — routing,
+// the shard op, and any steal fallback. Each gap is drawn at random
+// (xrand.Period) so a connection that strictly alternates pushes and pops
+// samples both. Zero time means not sampled.
 func (h *PoolHandle[T]) latStart() (t time.Time) {
 	if !obs.Enabled {
 		return
 	}
-	h.latTick++
-	if h.latTick >= obs.DefaultLatSample {
-		h.latTick = 0
+	h.latLeft--
+	if h.latLeft == 0 {
+		h.latLeft = h.latRng.Period(obs.DefaultLatSample)
 		t = time.Now()
 	}
 	return

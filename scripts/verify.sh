@@ -30,8 +30,8 @@ go test ./... -count=1
 echo "== go test -race -short (core, arena, obs, root) =="
 go test -race -short -count=1 ./internal/core/ ./internal/arena/ ./internal/obs/ .
 
-echo "== go test -race -short (shard, wire, dequed, schedd) =="
-go test -race -short -count=1 ./internal/shard/ ./internal/wire/ ./cmd/dequed/ ./cmd/schedd/
+echo "== go test -race -short -cpu 1,2 (shard, wire, server engine, dequed, schedd) =="
+go test -race -short -count=1 -cpu 1,2 ./internal/shard/ ./internal/wire/ ./internal/server/ ./cmd/dequed/ ./cmd/schedd/
 
 echo "== service loopback smoke (dequed + dqload) =="
 sh scripts/smoke_service.sh
