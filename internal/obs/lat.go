@@ -22,10 +22,11 @@ import (
 // single-op hot paths only record a sampled subset of operations
 // (Config.LatSample, default 1 in 1024) so the two clock reads per sample
 // stay inside the <=2% A/B budget even on machines where a clock read
-// costs as much as a deque op (scripts/oplatency_overhead.sh). Batch ops,
-// announce waits, steal sweeps, and server frames record always: they are
-// rare or amortized, and their tails are the point. The obsoff build
-// compiles the recorder to a zero-size no-op.
+// costs as much as a deque op (scripts/oplatency_overhead.sh). Server
+// frames are sampled the same way, per connection. Batch ops, announce
+// waits and steal sweeps record always: they are rare or amortized, and
+// their tails are the point. The obsoff build compiles the recorder to a
+// zero-size no-op.
 
 // LatClass names one recorded operation class.
 type LatClass uint8
@@ -49,8 +50,11 @@ const (
 	// LatStealSweep is one full opposite-end steal sweep over the shards
 	// (always recorded).
 	LatStealSweep
-	// LatService is dequed's per-frame service time: request decoded ->
-	// response written (and flushed, when the read buffer ran dry).
+	// LatService is the server engine's per-frame service time: request
+	// decoded -> response written (and flushed, when the read buffer ran
+	// dry). Sampled per connection, 1 frame in DefaultLatSample on
+	// average: the two clock reads would cost more than the frame's own
+	// decode.
 	LatService
 	// NumLatClasses is the size of a LatRec's class table.
 	NumLatClasses

@@ -24,6 +24,7 @@ import (
 	dq "repro"
 	"repro/internal/obs"
 	"repro/internal/wire"
+	"repro/internal/xrand"
 )
 
 // Handle is one connection's accessor to the front-end: the op-specific
@@ -76,8 +77,9 @@ type Engine struct {
 	registered int
 
 	// latReg holds per-connection service-time recorders (the "service"
-	// latency class: frame decoded → reply flushed, queueing included).
-	// Deque-level classes live in the pool; latencySnapshot merges both.
+	// latency class: frame decoded → reply flushed, queueing included,
+	// sampled 1 frame in obs.DefaultLatSample). Deque-level classes live
+	// in the pool; latencySnapshot merges both.
 	latReg obs.LatRegistry
 
 	lnMu sync.Mutex
@@ -89,10 +91,13 @@ type Engine struct {
 }
 
 // slot is a freelist entry: a front-end handle plus the single-writer
-// service-time histogram of the connection holding it.
+// service-time histogram of the connection holding it and that
+// histogram's sampler, which carries over from one connection to the next.
 type slot struct {
-	h   Handle
-	lat *obs.LatRec
+	h       Handle
+	lat     *obs.LatRec
+	latLeft uint64           // frames until the next service sample
+	latRng  xrand.SplitMix64 // draws each re-arm; see serveConn
 }
 
 // New builds an engine over cfg. It serves nothing until Serve or Run.
@@ -189,8 +194,11 @@ func (e *Engine) acquire() (slot, error) {
 	e.hmu.Lock()
 	if e.registered < e.cfg.MaxConns {
 		e.registered++
+		seed := uint64(e.registered)
 		e.hmu.Unlock()
-		return slot{h: e.cfg.Register(), lat: e.latReg.NewRec()}, nil
+		s := slot{h: e.cfg.Register(), lat: e.latReg.NewRec(), latRng: *xrand.NewSplitMix64(seed)}
+		s.latLeft = s.latRng.Period(obs.DefaultLatSample)
+		return s, nil
 	}
 	e.hmu.Unlock()
 	select {
@@ -202,12 +210,16 @@ func (e *Engine) acquire() (slot, error) {
 }
 
 // serveConn runs one connection's request loop: read a frame, apply it,
-// append the response, and flush only when the read buffer runs dry —
+// queue the response, and flush only when the read buffer runs dry —
 // that last rule is what makes pipelining pay (one flush per burst, not
-// per frame). Any read error — clean EOF, mid-frame disconnect, protocol
-// desync — ends the connection; the deque state is always consistent
-// because every accepted operation completed before its response was
-// queued.
+// per frame). Frames are decoded from the read buffer and encoded into
+// the write buffer in place, and the service clock is read for one frame
+// in obs.DefaultLatSample, re-armed at random intervals (xrand.Period)
+// exactly as the pool's pool_op class is: two clock reads per frame cost
+// more than the frame's own decode. Any read error — clean EOF,
+// mid-frame disconnect, protocol desync — ends the connection; the deque
+// state is always consistent because every accepted operation completed
+// before its response was queued.
 func (e *Engine) serveConn(conn net.Conn) {
 	defer conn.Close()
 	s, err := e.acquire()
@@ -222,7 +234,6 @@ func (e *Engine) serveConn(conn net.Conn) {
 		req     wire.Request
 		resp    wire.Response
 		scratch []byte
-		out     []byte
 	)
 	for {
 		scratch, err = wire.ReadRequest(br, &req, scratch)
@@ -231,14 +242,17 @@ func (e *Engine) serveConn(conn net.Conn) {
 		}
 		var svc time.Time
 		if obs.Enabled {
-			svc = time.Now()
+			s.latLeft--
+			if s.latLeft == 0 {
+				s.latLeft = s.latRng.Period(obs.DefaultLatSample)
+				svc = time.Now()
+			}
 		}
 		resp.Tag = req.Tag
 		resp.Count = 0
 		resp.Values = resp.Values[:0]
 		e.apply(s.h, &req, &resp)
-		out = wire.AppendResponse(out[:0], &resp)
-		if _, err := bw.Write(out); err != nil {
+		if err := wire.WriteResponse(bw, &resp); err != nil {
 			return
 		}
 		if br.Buffered() == 0 {
@@ -249,7 +263,7 @@ func (e *Engine) serveConn(conn net.Conn) {
 		// Service time spans frame decoded → reply handed to the kernel
 		// (or queued behind a pipelined burst) — the server-side half of
 		// what a closed-loop client observes as round-trip latency.
-		if obs.Enabled {
+		if obs.Enabled && !svc.IsZero() {
 			s.lat.Record(obs.LatService, uint64(time.Since(svc)))
 		}
 	}

@@ -19,8 +19,7 @@ type Client struct {
 	br      *bufio.Reader
 	bw      *bufio.Writer
 	nextTag uint32
-	out     []byte // append buffer reused across Send calls
-	in      []byte // frame scratch reused across Recv calls
+	in      []byte // scratch for a Recv frame larger than br's buffer
 	resp    Response
 }
 
@@ -52,13 +51,11 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) Conn() net.Conn { return c.conn }
 
 // Send queues req (tag assigned automatically) and returns its tag
-// without flushing.
+// without flushing. The frame is encoded straight into the write buffer.
 func (c *Client) Send(req *Request) (uint32, error) {
 	req.Tag = c.nextTag
 	c.nextTag++
-	c.out = AppendRequest(c.out[:0], req)
-	_, err := c.bw.Write(c.out)
-	return req.Tag, err
+	return req.Tag, WriteRequest(c.bw, req)
 }
 
 // Flush pushes all queued frames to the connection.

@@ -3,15 +3,21 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
+	"slices"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzReadRequest feeds arbitrary byte streams through the frame decoder
 // and, for every frame that decodes, checks that Validate's verdict is
 // total (never panics) and that accepted frames re-encode to a stream the
 // decoder reads back identically — decode/encode is the identity on the
-// accepted set. Seeds cover every op code, with extra malformed shapes
+// accepted set. Each stream is also decoded a second time one byte per
+// Read through the smallest bufio buffer, where every frame straddles
+// refills and any batch takes the copying path; both decodes must agree
+// frame for frame. Seeds cover every op code, with extra malformed shapes
 // for the DEPQ family (payloads and counts on payload-less frames), so a
 // regression in the new validation arms is caught by the seed corpus
 // alone even when the fuzzer only runs it once.
@@ -45,19 +51,34 @@ func FuzzReadRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x12})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x00})
+	// A MaxBatch push, larger than any read buffer, and a frame that
+	// straddles the end of the default 4096-byte buffer behind a batch.
+	f.Add(AppendRequest(nil, &Request{Op: OpPushN, Count: MaxBatch, Values: make([]uint32, MaxBatch)}))
+	f.Add(AppendRequest(AppendRequest(nil, &Request{Op: OpPushN, Count: 1017, Values: make([]uint32, 1017)}),
+		&Request{Op: OpPush, Count: 1, Values: []uint32{0xFEED}}))
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		br := bufio.NewReader(bytes.NewReader(stream))
-		var req Request
-		var scratch []byte
+		slow := bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(stream)), 16)
+		var req, other Request
+		var scratch, otherScratch []byte
 		for {
-			var err error
+			var err, otherErr error
 			scratch, err = ReadRequest(br, &req, scratch)
+			otherScratch, otherErr = ReadRequest(slow, &other, otherScratch)
+			if (err == nil) != (otherErr == nil) || errors.Is(err, io.EOF) != errors.Is(otherErr, io.EOF) ||
+				errors.Is(err, ErrFrame) != errors.Is(otherErr, ErrFrame) {
+				t.Fatalf("decoders disagree: %v with a 4096-byte buffer, %v byte by byte", err, otherErr)
+			}
 			if err != nil {
 				if err == io.EOF {
 					return // clean end of stream
 				}
 				return // malformed tail: rejected without panic is the contract
+			}
+			if other.Tag != req.Tag || other.Op != req.Op || other.Side != req.Side ||
+				other.Key != req.Key || other.Count != req.Count || !slices.Equal(other.Values, req.Values) {
+				t.Fatalf("decoders disagree: %+v with a 4096-byte buffer, %+v byte by byte", req, other)
 			}
 			st := req.Validate()
 			if st != StatusOK && st != StatusBad {

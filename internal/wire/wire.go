@@ -99,12 +99,11 @@ const (
 // Limits. MaxBatch bounds count for batch ops; MaxFrame bounds the whole
 // frame and is derived from it (header + MaxBatch values).
 const (
-	MaxBatch    = 1 << 16
-	reqHeader   = 4 + 1 + 1 + 8 + 4 // tag op side key count
-	respHeader  = 4 + 1 + 4         // tag status count
-	MaxFrame    = reqHeader + 4*MaxBatch
-	lenPrefix   = 4
-	maxFrameLen = MaxFrame // alias used by readers for clarity
+	MaxBatch   = 1 << 16
+	reqHeader  = 4 + 1 + 1 + 8 + 4 // tag op side key count
+	respHeader = 4 + 1 + 4         // tag status count
+	MaxFrame   = reqHeader + 4*MaxBatch
+	lenPrefix  = 4
 )
 
 // ErrFrame reports a malformed or oversized frame; the connection is no
@@ -198,94 +197,157 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	return dst
 }
 
-// readFrame reads one length-prefixed frame body into buf (grown as
-// needed) and returns it. io.EOF before the first length byte is a clean
+// WriteRequest encodes req straight into bw's free buffer space (see
+// writeBuf) and queues it without flushing.
+func WriteRequest(bw *bufio.Writer, req *Request) error {
+	dst, err := writeBuf(bw, lenPrefix+reqHeader+4*len(req.Values))
+	if err != nil {
+		return err
+	}
+	_, err = bw.Write(AppendRequest(dst, req))
+	return err
+}
+
+// WriteResponse encodes resp straight into bw's free buffer space (see
+// writeBuf) and queues it without flushing.
+func WriteResponse(bw *bufio.Writer, resp *Response) error {
+	dst, err := writeBuf(bw, lenPrefix+respHeader+4*len(resp.Values))
+	if err != nil {
+		return err
+	}
+	_, err = bw.Write(AppendResponse(dst, resp))
+	return err
+}
+
+// writeBuf returns the slice to append an n-byte frame to: bw's
+// AvailableBuffer, so the frame is encoded in place and bw.Write's copy
+// is onto itself. When the frame does not fit beside what is already
+// queued, bw is flushed first — exactly what bw.Write would have done.
+// Only a frame larger than the whole buffer (a batch near MaxBatch) gets
+// nil, so the append allocates and bw writes it through.
+func writeBuf(bw *bufio.Writer, n int) ([]byte, error) {
+	if n > bw.Available() {
+		if n > bw.Size() {
+			return nil, nil
+		}
+		if err := bw.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	return bw.AvailableBuffer(), nil
+}
+
+// readFrame returns the body of the next length-prefixed frame. A frame
+// that fits in br's buffer — every frame but a batch near MaxBatch — is
+// not copied: body aliases br's buffer, is valid only until the next call
+// on br, and the caller releases it with br.Discard(skip) once decoded. A
+// larger frame is copied into *scratch (grown as needed) and already
+// consumed, with skip 0. io.EOF before the first length byte is a clean
 // end of stream and passes through unchanged; any other truncation is
 // io.ErrUnexpectedEOF.
-func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	var hdr [lenPrefix]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-		return buf, err // clean EOF between frames
-	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+func readFrame(br *bufio.Reader, scratch *[]byte) (body []byte, skip int, err error) {
+	// One Peek sees the length prefix and, in a pipelined burst, usually
+	// the whole frame behind it: Peek(Buffered()) never refills.
+	p, err := br.Peek(max(lenPrefix, br.Buffered()))
+	if err != nil {
+		if len(p) > 0 {
+			err = unexpected(err)
 		}
-		return buf, err
+		return nil, 0, err // len(p) == 0: clean EOF between frames
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrameLen {
-		return buf, fmt.Errorf("%w: frame length %d exceeds %d", ErrFrame, n, maxFrameLen)
+	n := int(binary.BigEndian.Uint32(p))
+	if n > MaxFrame {
+		return nil, 0, fmt.Errorf("%w: frame length %d exceeds %d", ErrFrame, n, MaxFrame)
 	}
-	if cap(buf) < int(n) {
+	skip = lenPrefix + n
+	if skip <= br.Size() {
+		if len(p) < skip {
+			if p, err = br.Peek(skip); err != nil {
+				return nil, 0, unexpected(err)
+			}
+		}
+		return p[lenPrefix:skip], skip, nil
+	}
+	_, _ = br.Discard(lenPrefix) // the prefix is buffered: cannot fail
+	buf := *scratch
+	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
+	*scratch = buf
 	if _, err := io.ReadFull(br, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return buf, err
+		return nil, 0, unexpected(err)
 	}
-	return buf, nil
+	return buf, 0, nil
 }
 
-// decodeValues parses count big-endian uint32 values from b into dst
-// (reused when large enough).
-func decodeValues(dst []uint32, b []byte, count int) ([]uint32, error) {
-	if len(b) != 4*count {
-		return dst, fmt.Errorf("%w: %d payload bytes for %d values", ErrFrame, len(b), count)
+// unexpected maps io.EOF inside a frame to io.ErrUnexpectedEOF.
+func unexpected(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
 	}
+	return err
+}
+
+// decodeValues parses the big-endian uint32 values of payload b into dst
+// (reused when large enough).
+func decodeValues(dst []uint32, b []byte) ([]uint32, error) {
+	if len(b)%4 != 0 {
+		return dst, fmt.Errorf("%w: %d payload bytes", ErrFrame, len(b))
+	}
+	count := len(b) / 4
 	if cap(dst) < count {
 		dst = make([]uint32, count)
 	}
 	dst = dst[:count]
-	for i := 0; i < count; i++ {
+	for i := range dst {
 		dst[i] = binary.BigEndian.Uint32(b[4*i:])
 	}
 	return dst, nil
 }
 
 // ReadRequest reads and decodes the next request frame, reusing req's
-// Values capacity and the provided scratch buffer (returned grown). A
+// Values capacity. scratch is used (and returned grown) only by a frame
+// larger than br's buffer; every other frame is decoded in place. A
 // clean EOF between frames returns io.EOF.
 func ReadRequest(br *bufio.Reader, req *Request, scratch []byte) ([]byte, error) {
-	buf, err := readFrame(br, scratch)
+	body, skip, err := readFrame(br, &scratch)
 	if err != nil {
-		return buf, err
+		return scratch, err
 	}
-	if len(buf) < reqHeader {
-		return buf, fmt.Errorf("%w: request frame of %d bytes", ErrFrame, len(buf))
+	if len(body) < reqHeader {
+		err = fmt.Errorf("%w: request frame of %d bytes", ErrFrame, len(body))
+	} else {
+		req.Tag = binary.BigEndian.Uint32(body[0:])
+		req.Op = body[4]
+		req.Side = body[5]
+		req.Key = binary.BigEndian.Uint64(body[6:])
+		req.Count = binary.BigEndian.Uint32(body[14:])
+		req.Values, err = decodeValues(req.Values, body[reqHeader:])
 	}
-	req.Tag = binary.BigEndian.Uint32(buf[0:])
-	req.Op = buf[4]
-	req.Side = buf[5]
-	req.Key = binary.BigEndian.Uint64(buf[6:])
-	req.Count = binary.BigEndian.Uint32(buf[14:])
-	payload := buf[reqHeader:]
-	nvals := len(payload) / 4
-	req.Values, err = decodeValues(req.Values, payload, nvals)
-	return buf, err
+	_, _ = br.Discard(skip) // the frame is buffered: cannot fail
+	return scratch, err
 }
 
 // ReadResponse reads and decodes the next response frame, reusing resp's
-// Values capacity and the provided scratch buffer (returned grown). A
+// Values capacity. scratch is used (and returned grown) only by a frame
+// larger than br's buffer; every other frame is decoded in place. A
 // clean EOF between frames returns io.EOF.
 func ReadResponse(br *bufio.Reader, resp *Response, scratch []byte) ([]byte, error) {
-	buf, err := readFrame(br, scratch)
+	body, skip, err := readFrame(br, &scratch)
 	if err != nil {
-		return buf, err
+		return scratch, err
 	}
-	if len(buf) < respHeader {
-		return buf, fmt.Errorf("%w: response frame of %d bytes", ErrFrame, len(buf))
+	if len(body) < respHeader {
+		err = fmt.Errorf("%w: response frame of %d bytes", ErrFrame, len(body))
+	} else {
+		resp.Tag = binary.BigEndian.Uint32(body[0:])
+		resp.Status = body[4]
+		resp.Count = binary.BigEndian.Uint32(body[5:])
+		resp.Values, err = decodeValues(resp.Values, body[respHeader:])
 	}
-	resp.Tag = binary.BigEndian.Uint32(buf[0:])
-	resp.Status = buf[4]
-	resp.Count = binary.BigEndian.Uint32(buf[5:])
-	payload := buf[respHeader:]
-	nvals := len(payload) / 4
-	resp.Values, err = decodeValues(resp.Values, payload, nvals)
-	return buf, err
+	_, _ = br.Discard(skip) // the frame is buffered: cannot fail
+	return scratch, err
 }
 
 // Validate applies the semantic frame contract the server enforces before

@@ -81,6 +81,11 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTruncatedAndOversizedFrames covers every way a stream can stop:
+// cleanly between frames (io.EOF), inside the length prefix or the body
+// (io.ErrUnexpectedEOF, on both the in-place and the copying path), or
+// with a length past MaxFrame (ErrFrame, before any allocation), for
+// both decoders.
 func TestTruncatedAndOversizedFrames(t *testing.T) {
 	full := AppendRequest(nil, &Request{Op: OpPushN, Side: Left, Count: 2, Values: []uint32{1, 2}})
 	// Every strict prefix (past the first byte) must yield ErrUnexpectedEOF,
@@ -92,16 +97,46 @@ func TestTruncatedAndOversizedFrames(t *testing.T) {
 		if err == nil {
 			t.Fatalf("cut=%d: decode succeeded", cut)
 		}
-		if cut >= 4 && !errors.Is(err, io.ErrUnexpectedEOF) {
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("cut=%d: err = %v, want ErrUnexpectedEOF", cut, err)
 		}
 	}
-	// Oversized length prefix is rejected before allocation.
-	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	br := bufio.NewReader(bytes.NewReader(huge))
+
+	large := AppendRequest(nil, &Request{Op: OpPushN, Side: Left, Count: MaxBatch, Values: batch(MaxBatch)})
+	resp := AppendResponse(nil, &Response{Status: StatusOK, Count: 2, Values: []uint32{1, 2}})
+	largeResp := AppendResponse(nil, &Response{Status: StatusOK, Count: MaxBatch, Values: batch(MaxBatch)})
+	for _, c := range []struct {
+		what   string
+		stream []byte
+		want   error
+	}{
+		{"empty stream", nil, io.EOF},
+		{"1-byte length prefix", full[:1], io.ErrUnexpectedEOF},
+		{"3-byte length prefix", full[:3], io.ErrUnexpectedEOF},
+		{"truncated response body", resp[:len(resp)-1], io.ErrUnexpectedEOF},
+		{"truncated large request body", large[:len(large)-1], io.ErrUnexpectedEOF},
+		{"truncated large response body", largeResp[:len(largeResp)-1], io.ErrUnexpectedEOF},
+		{"length one past MaxFrame", []byte{0x00, 0x04, 0x00, 0x13}, ErrFrame},
+		{"oversized length", []byte{0xFF, 0xFF, 0xFF, 0xFF}, ErrFrame},
+	} {
+		var req Request
+		var rsp Response
+		_, reqErr := ReadRequest(bufio.NewReader(bytes.NewReader(c.stream)), &req, nil)
+		_, respErr := ReadResponse(bufio.NewReader(bytes.NewReader(c.stream)), &rsp, nil)
+		if !errors.Is(reqErr, c.want) || !errors.Is(respErr, c.want) {
+			t.Fatalf("%s: ReadRequest err = %v, ReadResponse err = %v, want %v", c.what, reqErr, respErr, c.want)
+		}
+	}
+
+	// A clean EOF right after a whole frame is io.EOF, not
+	// io.ErrUnexpectedEOF.
+	br := bufio.NewReader(bytes.NewReader(full))
 	var req Request
-	if _, err := ReadRequest(br, &req, nil); !errors.Is(err, ErrFrame) {
-		t.Fatalf("oversized frame: err = %v, want ErrFrame", err)
+	if _, err := ReadRequest(br, &req, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadRequest(br, &req, nil); err != io.EOF {
+		t.Fatalf("EOF between frames: err = %v, want io.EOF", err)
 	}
 }
 

@@ -96,11 +96,6 @@ func ParseRouting(s string) (RoutePolicy, error) {
 	return p, nil
 }
 
-// ParseRoutePolicy is the original name of ParseRouting.
-//
-// Deprecated: use ParseRouting, which mirrors ParseReclamation.
-func ParseRoutePolicy(s string) (RoutePolicy, error) { return ParseRouting(s) }
-
 // poolOptions collects pool construction parameters.
 type poolOptions struct {
 	policy    RoutePolicy

@@ -40,10 +40,6 @@ func TestPoolConstructionValidation(t *testing.T) {
 		if _, err := ParseRouting(s); err != nil {
 			t.Fatalf("ParseRouting(%q): %v", s, err)
 		}
-		// The deprecated alias must keep answering identically.
-		if _, err := ParseRoutePolicy(s); err != nil {
-			t.Fatalf("ParseRoutePolicy(%q): %v", s, err)
-		}
 	}
 	defer func() {
 		if recover() == nil {

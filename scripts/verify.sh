@@ -25,7 +25,12 @@ run_staticcheck() {
 run_staticcheck
 
 echo "== go test (full) =="
+# Includes the request-path allocation guards (internal/server
+# TestEngineWindowNoAllocs, TestClientRoundNoAllocs), which skip under -race.
 go test ./... -count=1
+
+echo "== wire decoder fuzz smoke (10 s) =="
+go test -run '^$' -fuzz FuzzReadRequest -fuzztime 10s ./internal/wire/
 
 echo "== go test -race -short (core, arena, obs, root) =="
 go test -race -short -count=1 ./internal/core/ ./internal/arena/ ./internal/obs/ .
